@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md §6 calls out:
+//! Ablation benchmarks for the design choices (ablation 1, pack-and-add,
+//! lives in `packing.rs`):
 //!
 //! 2. multi-destination epilogue (ABC) vs materializing `M_r` (AB) on a
 //!    rank-k shape;

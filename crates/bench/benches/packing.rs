@@ -1,7 +1,7 @@
 //! Packing benchmarks, including the paper's key primitive: packing a
 //! *linear combination* of submatrices at (nearly) the cost of a plain
-//! pack. This is ablation 1 of DESIGN.md §6 — pack-and-add vs packing and
-//! adding separately.
+//! pack. This is ablation 1 (the others are in `ablations.rs`) — pack-and-add
+//! vs packing and adding separately.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fmm_dense::{fill, Matrix};

@@ -49,7 +49,9 @@ impl FigureParams {
                     p.csv = true;
                     i += 1;
                 }
-                other => panic!("unknown argument {other}; see DESIGN.md §5"),
+                other => panic!(
+                    "unknown argument {other}; expected --scale X, --reps N, --threads N, --limit N or --csv"
+                ),
             }
         }
         if p.threads > 1 {

@@ -1,4 +1,4 @@
-//! Algorithms discovered by the `fmm-search` ALS pipeline.
+//! Algorithms embedded as JSON data.
 //!
 //! Each JSON file under `registry/data/` serializes one
 //! [`crate::algorithm::FmmAlgorithm`]. Files are embedded at compile time
@@ -11,8 +11,8 @@ use crate::algorithm::FmmAlgorithm;
 
 /// `(file name, JSON contents)` pairs embedded from `registry/data/`.
 ///
-/// New discoveries are added here after `fmm-search` finds and verifies
-/// them (see the `discover` example and EXPERIMENTS.md).
+/// The one entry, `<2,2,3>` at rank 11, was built by composition:
+/// [`crate::compose::stack_n`] of Strassen and classical `<2,2,1>`.
 const DATA: &[(&str, &str)] = &[("mkn223_r11.json", include_str!("data/mkn223_r11.json"))];
 
 /// Deserialize and re-verify every embedded algorithm.

@@ -1,20 +1,22 @@
 //! The named algorithm family (paper Figure 2).
 //!
 //! The registry holds one verified algorithm per `<m̃,k̃,ñ>` shape the paper
-//! evaluates. Provenance is threefold (see DESIGN.md §7):
+//! evaluates. Provenance is threefold:
 //!
 //! 1. **Paper-exact**: Strassen's `[[U,V,W]]` transcribed from eq. (4), plus
 //!    Winograd's variant.
-//! 2. **Constructive**: direct sums / nesting / symmetry orientations of the
+//! 2. **Embedded JSON**: algorithms serialized under `registry/data/`,
+//!    compiled in and re-verified against the Brent equations at load
+//!    ([`discovered_algorithms`]). The one file, `<2,2,3>` at rank 11, was
+//!    built by composition: [`crate::compose::stack_n`] of Strassen and
+//!    classical `<2,2,1>`.
+//! 3. **Constructive**: direct sums / nesting / symmetry orientations of the
 //!    base algorithms ([`crate::compose`]). These reproduce the published
 //!    ranks for the `{2,2,3}`, `{2,2,4}` and `{2,2,5}` permutation families.
-//! 3. **Discovered**: algorithms found by the `fmm-search` crate's ALS +
-//!    rounding pipeline, stored as JSON in `registry/data/` and re-verified
-//!    at load time.
 //!
 //! Every entry passes the exact Brent-equation check; shapes where the best
 //! verified rank exceeds the published rank are reported as such by
-//! [`paper_table`] (`r_paper` vs. the registry rank).
+//! [`Registry::paper_rows`] (`r_paper` vs. the registry rank).
 
 mod discovered;
 mod family;
@@ -81,7 +83,7 @@ impl Registry {
     pub fn standard() -> Self {
         let mut reg = Self { by_dims: BTreeMap::new() };
         reg.insert(strassen());
-        // Discovered algorithms (ALS + rounding, re-verified at load).
+        // Embedded JSON algorithms (re-verified at load).
         for algo in discovered_algorithms() {
             reg.insert_with_orientations(&algo);
         }

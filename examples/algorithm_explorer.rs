@@ -44,5 +44,6 @@ fn main() {
         );
     }
     println!("\nEvery algorithm above passed the exact Brent-equation check at load.");
-    println!("R > R_paper rows use constructive fallbacks (see DESIGN.md §7).");
+    println!("R > R_paper rows use constructive fallbacks: direct sums, nesting and");
+    println!("orientations of smaller verified algorithms (fmm_core::compose).");
 }

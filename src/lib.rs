@@ -32,7 +32,6 @@
 //!   over [`FmmEngine::multiply_batch`], bounded-queue admission control
 //!   with typed backpressure, live metrics, a client library, and the
 //!   `fmm_serve` CLI;
-//! * [`search`] — ALS / annealing / flip-graph discovery of new algorithms;
 //! * [`gen`] — the source-code generator for specialized implementations.
 //!
 //! # Quickstart
@@ -73,7 +72,6 @@ pub use fmm_gemm as gemm;
 pub use fmm_gen as gen;
 pub use fmm_model as model;
 pub use fmm_sched as sched;
-pub use fmm_search as search;
 pub use fmm_serve as serve;
 pub use fmm_tune as tune;
 

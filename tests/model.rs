@@ -1,5 +1,4 @@
-//! Cross-crate integration of the performance model and the search
-//! pipeline with the core library.
+//! Cross-crate integration of the performance model with the core library.
 
 use fmm_core::counts::PlanCounts;
 use fmm_core::prelude::*;
@@ -86,43 +85,4 @@ fn calibration_fit_roundtrips_through_the_gemm_model() {
         - predict_gemm(shape.0, shape.1, shape.2, &truth).total)
         .abs();
     assert!(err < 1e-4 * predict_gemm(shape.0, shape.1, shape.2, &truth).total);
-}
-
-#[test]
-fn search_repair_recovers_every_paper_algorithm_from_uv() {
-    // For each registry algorithm: discard W entirely, re-solve it exactly
-    // from (U, V), and verify the result. Demonstrates the exact linear
-    // repair path on every coefficient structure we ship.
-    let reg = Registry::shared();
-    for (entry, algo) in reg.paper_rows() {
-        let broken = fmm_core::FmmAlgorithm::new_unchecked(
-            "wiped",
-            algo.dims(),
-            algo.u().clone(),
-            algo.v().clone(),
-            fmm_core::CoeffMatrix::zeros(algo.w().rows(), algo.w().cols()),
-        );
-        let repaired = fmm_search::repair::repair_w_default(&broken)
-            .unwrap_or_else(|| panic!("repair failed for {:?}", entry.dims));
-        assert_eq!(repaired.rank(), algo.rank());
-        assert_eq!(repaired.dims(), algo.dims());
-    }
-}
-
-#[test]
-fn discovered_algorithm_roundtrips_into_a_working_plan() {
-    // Discover (rank 8 is fast and deterministic enough), then execute the
-    // discovered algorithm on a real multiplication.
-    let mut cfg = fmm_search::anneal::AnnealConfig::new((2, 2, 2), 8);
-    cfg.budget = std::time::Duration::from_secs(90); // debug builds are ~20x slower
-    cfg.restarts = 50;
-    let algo = fmm_search::anneal::anneal(&cfg).algorithm.expect("rank 8 is easy");
-    let plan = FmmPlan::new(vec![algo]);
-    let a = fmm_dense::fill::bench_workload(20, 18, 1);
-    let b = fmm_dense::fill::bench_workload(18, 22, 2);
-    let mut c = fmm_dense::Matrix::zeros(20, 22);
-    let mut ctx = FmmContext::with_defaults();
-    fmm_execute(c.as_mut(), a.as_ref(), b.as_ref(), &plan, Variant::Abc, &mut ctx);
-    let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
-    assert!(fmm_dense::norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-10);
 }
