@@ -11,9 +11,8 @@
 //! the chosen metric (default `requests_per_sec`, falling back to
 //! `gflops` when a row has no request rate) is ratioed new/old, and any
 //! matched row below `--tolerance` fails the run with exit 1. The floor
-//! is deliberately lenient for the same reason `serve_smoke
-//! --baseline`'s is: it exists to catch structural regressions — e.g.
-//! audit instrumentation leaking onto the hot path — not run-to-run
+//! is deliberately lenient: it exists to catch structural regressions —
+//! e.g. audit instrumentation leaking onto the hot path — not run-to-run
 //! noise on shared CI hardware.
 
 use fmm_core::json::{self, Value};

@@ -5,8 +5,7 @@
 //! ```sh
 //! cargo run --release -p fmm-bench --bin serve_smoke \
 //!     [-- --threads 8 --requests 60 --size 64 --window-us 0 \
-//!         --gap-us 200 --max-batch 16 --pipeline 8 --out BENCH_serve.json \
-//!         --baseline OLD_BENCH_serve.json]
+//!         --gap-us 200 --max-batch 16 --pipeline 8 --out BENCH_serve.json]
 //! ```
 //!
 //! Three daemons run in-process on loopback ports, sharing one warm
@@ -24,7 +23,7 @@
 //! masquerade as a speedup.
 
 use fmm_bench::report::{int, latency_fields, num, object, text, Report};
-use fmm_core::json::{self, Value};
+use fmm_core::json::Value;
 use fmm_dense::{fill, norms, Matrix};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine};
 use fmm_serve::{BatchPolicy, Client, MetricsSnapshot, PipelinedClient, ServeConfig, Server};
@@ -42,7 +41,6 @@ struct Args {
     max_batch: usize,
     pipeline: usize,
     out: String,
-    baseline: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -59,7 +57,6 @@ fn parse_args() -> Args {
         max_batch: 16,
         pipeline: 16,
         out: "BENCH_serve.json".to_string(),
-        baseline: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -95,10 +92,6 @@ fn parse_args() -> Args {
             }
             "--out" => {
                 args.out = argv[i + 1].clone();
-                i += 2;
-            }
-            "--baseline" => {
-                args.baseline = Some(argv[i + 1].clone());
                 i += 2;
             }
             other => panic!("unknown argument {other}"),
@@ -255,40 +248,6 @@ fn run_mode(
     }
 }
 
-/// Regression guard against a previous report: compare this run's
-/// pipelined throughput to the `mode == "pipelined"` row of an earlier
-/// `BENCH_serve.json`. The floor is deliberately lenient — it exists to
-/// catch structural regressions (e.g. instrumentation on the hot path),
-/// not run-to-run noise.
-fn check_baseline(path: &str, pipelined_rps: f64) {
-    let body = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("--baseline {path}: unreadable: {e}"));
-    let old = json::parse(&body).unwrap_or_else(|e| panic!("--baseline {path}: bad JSON: {e}"));
-    let Value::Object(root) = &old else { panic!("--baseline {path}: not an object") };
-    let Some(Value::Array(rows)) = root.get("rows") else {
-        panic!("--baseline {path}: no rows array")
-    };
-    let old_rps = rows
-        .iter()
-        .find_map(|row| {
-            let Value::Object(row) = row else { return None };
-            match (row.get("mode"), row.get("requests_per_sec")) {
-                (Some(Value::String(mode)), Some(Value::Number(rps))) if mode == "pipelined" => {
-                    Some(*rps)
-                }
-                _ => None,
-            }
-        })
-        .unwrap_or_else(|| panic!("--baseline {path}: no pipelined row with requests_per_sec"));
-    let ratio = pipelined_rps / old_rps;
-    println!("pipelined vs baseline {path}: {pipelined_rps:.1} / {old_rps:.1} = {ratio:.2}x");
-    assert!(
-        ratio >= 0.7,
-        "pipelined throughput regressed to {ratio:.2}x of the baseline ({pipelined_rps:.1} \
-         req/s vs {old_rps:.1} req/s in {path})"
-    );
-}
-
 fn main() {
     let args = parse_args();
 
@@ -366,9 +325,6 @@ fn main() {
         pipelined.metrics.max_occupancy > 1,
         "pipelined clients never coalesced — policy or load misconfigured"
     );
-    if let Some(baseline) = &args.baseline {
-        check_baseline(baseline, pipelined.rps);
-    }
 
     let mut report = Report::new("serve_smoke");
     report

@@ -7,7 +7,7 @@ pub struct FigureParams {
     pub scale: f64,
     /// Timed repetitions per point (after one warm-up).
     pub reps: usize,
-    /// rayon threads (1 = sequential executors).
+    /// Pool width, in workers (1 = sequential executors).
     pub threads: usize,
     /// Restrict to the first N algorithms of the Figure 2 table (0 = all).
     pub limit_algos: usize,
@@ -81,7 +81,7 @@ impl FigureParams {
         out
     }
 
-    /// True when the executors should use the rayon-parallel driver.
+    /// True when the executors should run on more than one worker.
     pub fn parallel(&self) -> bool {
         self.threads > 1
     }

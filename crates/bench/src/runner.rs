@@ -44,23 +44,17 @@ pub fn measure_gemm(
 ) -> Measured {
     let mut w = Workload::new(m, k, n);
     let mut ws = GemmWorkspace::for_params(params);
+    let workers = if parallel { 0 } else { 1 };
     let secs = timing::time_min(reps, || {
-        if parallel {
-            fmm_gemm::parallel::gemm_sums_parallel(
-                &mut [DestTile::new(w.c.as_mut(), 1.0)],
-                &[(1.0, w.a.as_ref())],
-                &[(1.0, w.b.as_ref())],
-                params,
-            );
-        } else {
-            fmm_gemm::driver::gemm_sums(
-                &mut [DestTile::new(w.c.as_mut(), 1.0)],
-                &[(1.0, w.a.as_ref())],
-                &[(1.0, w.b.as_ref())],
-                params,
-                &mut ws,
-            );
-        }
+        fmm_gemm::driver::gemm_sums_workers(
+            &mut [DestTile::new(w.c.as_mut(), 1.0)],
+            &[(1.0, w.a.as_ref())],
+            &[(1.0, w.b.as_ref())],
+            params,
+            &mut ws,
+            workers,
+            false,
+        );
     });
     Measured {
         actual: timing::gflops(m, k, n, secs),

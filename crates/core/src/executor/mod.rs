@@ -94,8 +94,9 @@ pub struct FmmContext<T = f64> {
     /// Layout of the most recent core execution (`None` before the first,
     /// or when the problem had an empty core).
     last_layout: Option<ArenaLayout>,
-    /// Execute block products with the rayon-parallel driver.
-    pub(crate) parallel: bool,
+    /// Workers each block product's `ic` loop runs on (`0` = the pool
+    /// width).
+    pub(crate) workers: usize,
 }
 
 impl<T: GemmScalar> FmmContext<T> {
@@ -105,9 +106,9 @@ impl<T: GemmScalar> FmmContext<T> {
     }
 
     /// Context with explicit blocking parameters. The packing workspace
-    /// starts empty: the sequential driver sizes it on first use (the
-    /// parallel driver draws per-worker buffers from the global pool
-    /// instead, so parallel-only contexts never pay for it); call
+    /// starts empty and the driver sizes it on first use: it holds the
+    /// shared `B̃` panel at any worker count, and `Ã` when one worker runs
+    /// (more workers pack `Ã` into buffers from the global pool). Call
     /// [`FmmContext::preplan`] to allocate everything up-front.
     pub fn new(params: BlockingParams) -> Self {
         Self {
@@ -115,7 +116,7 @@ impl<T: GemmScalar> FmmContext<T> {
             ws: GemmWorkspace::empty(),
             arena: WorkspaceArena::new(),
             last_layout: None,
-            parallel: false,
+            workers: 1,
         }
     }
 
@@ -153,11 +154,11 @@ impl<T: GemmScalar> FmmContext<T> {
 pub(crate) struct GemmDispatch<'a, T = f64> {
     params: &'a BlockingParams,
     ws: &'a mut GemmWorkspace<T>,
-    parallel: bool,
+    workers: usize,
 }
 
 impl<T: GemmScalar> GemmDispatch<'_, T> {
-    /// Dispatch one block product to the sequential or parallel driver.
+    /// Run one block product through the driver on the context's workers.
     pub(crate) fn block_product(
         &mut self,
         dests: &mut [DestTile<'_, T>],
@@ -165,22 +166,15 @@ impl<T: GemmScalar> GemmDispatch<'_, T> {
         b_terms: &[(T, MatRef<'_, T>)],
         overwrite: bool,
     ) {
-        if self.parallel {
-            if overwrite {
-                fmm_gemm::parallel::gemm_sums_parallel_overwrite(
-                    dests,
-                    a_terms,
-                    b_terms,
-                    self.params,
-                );
-            } else {
-                fmm_gemm::parallel::gemm_sums_parallel(dests, a_terms, b_terms, self.params);
-            }
-        } else if overwrite {
-            fmm_gemm::driver::gemm_sums_overwrite(dests, a_terms, b_terms, self.params, self.ws);
-        } else {
-            fmm_gemm::driver::gemm_sums(dests, a_terms, b_terms, self.params, self.ws);
-        }
+        fmm_gemm::driver::gemm_sums_workers(
+            dests,
+            a_terms,
+            b_terms,
+            self.params,
+            self.ws,
+            self.workers,
+            overwrite,
+        );
     }
 }
 
@@ -195,12 +189,12 @@ pub fn fmm_execute<T: GemmScalar>(
     variant: Variant,
     ctx: &mut FmmContext<T>,
 ) {
-    ctx.parallel = false;
-    execute_impl(c, a, b, plan, variant, ctx)
+    fmm_execute_parallel(c, a, b, plan, variant, ctx, 1)
 }
 
-/// As [`fmm_execute`], but each block product uses the rayon-parallel GEMM
-/// driver (the paper's loop-3 data parallelism); the `R_L` products remain
+/// As [`fmm_execute`], but each block product (and each peeled rim) runs
+/// the GEMM driver's `ic` loop on `workers` workers (`0` = the pool
+/// width; the paper's loop-3 data parallelism); the `R_L` products remain
 /// sequential, exactly as in the paper's implementation.
 pub fn fmm_execute_parallel<T: GemmScalar>(
     c: MatMut<'_, T>,
@@ -209,8 +203,9 @@ pub fn fmm_execute_parallel<T: GemmScalar>(
     plan: &FmmPlan,
     variant: Variant,
     ctx: &mut FmmContext<T>,
+    workers: usize,
 ) {
-    ctx.parallel = true;
+    ctx.workers = workers;
     execute_impl(c, a, b, plan, variant, ctx)
 }
 
@@ -241,8 +236,8 @@ fn execute_impl<T: GemmScalar>(
         run_core(c_core, a_core, b_core, plan, variant, ctx);
     }
 
-    let FmmContext { params, ws, parallel, .. } = ctx;
-    let mut gemm = GemmDispatch { params, ws, parallel: *parallel };
+    let FmmContext { params, ws, workers, .. } = ctx;
+    let mut gemm = GemmDispatch { params, ws, workers: *workers };
     for rim in &peel_plan.rims {
         let a_rim = a.submatrix(rim.rows.start, rim.inner.start, rim.rows.len(), rim.inner.len());
         let b_rim = b.submatrix(rim.inner.start, rim.cols.start, rim.inner.len(), rim.cols.len());
@@ -274,9 +269,9 @@ fn run_core<T: GemmScalar>(
     ctx.last_layout = Some(layout);
     // Split the context into its disjoint halves: arena views for the
     // executor, params + packing workspace for the GEMM dispatch.
-    let FmmContext { params, ws, arena, parallel, .. } = ctx;
+    let FmmContext { params, ws, arena, workers, .. } = ctx;
     let views = arena.views(&layout);
-    let mut gemm = GemmDispatch { params, ws, parallel: *parallel };
+    let mut gemm = GemmDispatch { params, ws, workers: *workers };
     match variant {
         Variant::Naive => naive::run(plan, &a_blocks, &b_blocks, &c_blocks, views, &mut gemm),
         Variant::Ab => ab::run(plan, &a_blocks, &b_blocks, &c_blocks, views, &mut gemm),
@@ -290,24 +285,20 @@ mod tests {
     use crate::registry::strassen;
     use fmm_dense::{fill, norms, Matrix};
 
-    fn check(m: usize, k: usize, n: usize, plan: &FmmPlan, variant: Variant, parallel: bool) {
+    fn check(m: usize, k: usize, n: usize, plan: &FmmPlan, variant: Variant, workers: usize) {
         let a = fill::bench_workload(m, k, 1);
         let b = fill::bench_workload(k, n, 2);
         let mut c = fill::bench_workload(m, n, 3);
         let c_orig = c.clone();
         let mut ctx = FmmContext::new(BlockingParams::tiny());
-        if parallel {
-            fmm_execute_parallel(c.as_mut(), a.as_ref(), b.as_ref(), plan, variant, &mut ctx);
-        } else {
-            fmm_execute(c.as_mut(), a.as_ref(), b.as_ref(), plan, variant, &mut ctx);
-        }
+        fmm_execute_parallel(c.as_mut(), a.as_ref(), b.as_ref(), plan, variant, &mut ctx, workers);
         let mut c_ref = c_orig;
         fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
         let err = norms::max_abs_diff(c.as_ref(), c_ref.as_ref());
         let tol = norms::fmm_tolerance(k, plan.num_levels());
         assert!(
             err < tol,
-            "{} {} m={m} k={k} n={n} parallel={parallel}: err={err} tol={tol}",
+            "{} {} m={m} k={k} n={n} workers={workers}: err={err} tol={tol}",
             plan.describe(),
             variant.name()
         );
@@ -317,7 +308,7 @@ mod tests {
     fn one_level_strassen_all_variants_divisible() {
         let plan = FmmPlan::new(vec![strassen()]);
         for v in Variant::ALL {
-            check(16, 16, 16, &plan, v, false);
+            check(16, 16, 16, &plan, v, 1);
         }
     }
 
@@ -325,7 +316,7 @@ mod tests {
     fn one_level_strassen_with_fringes() {
         let plan = FmmPlan::new(vec![strassen()]);
         for v in Variant::ALL {
-            check(17, 19, 21, &plan, v, false);
+            check(17, 19, 21, &plan, v, 1);
         }
     }
 
@@ -333,8 +324,8 @@ mod tests {
     fn two_level_strassen_all_variants() {
         let plan = FmmPlan::uniform(strassen(), 2);
         for v in Variant::ALL {
-            check(36, 36, 36, &plan, v, false);
-            check(37, 35, 33, &plan, v, false);
+            check(36, 36, 36, &plan, v, 1);
+            check(37, 35, 33, &plan, v, 1);
         }
     }
 
@@ -342,7 +333,7 @@ mod tests {
     fn problem_smaller_than_partition_falls_back_to_gemm() {
         let plan = FmmPlan::uniform(strassen(), 2); // needs multiples of 4
         for v in Variant::ALL {
-            check(3, 3, 3, &plan, v, false);
+            check(3, 3, 3, &plan, v, 1);
         }
     }
 
@@ -350,7 +341,9 @@ mod tests {
     fn parallel_execution_matches() {
         let plan = FmmPlan::new(vec![strassen()]);
         for v in Variant::ALL {
-            check(32, 24, 40, &plan, v, true);
+            for workers in [0, 2] {
+                check(32, 24, 40, &plan, v, workers);
+            }
         }
     }
 
@@ -358,7 +351,7 @@ mod tests {
     fn rank_k_update_shape() {
         // The paper's motivating shape: large m=n, small k.
         let plan = FmmPlan::new(vec![strassen()]);
-        check(48, 8, 48, &plan, Variant::Abc, false);
+        check(48, 8, 48, &plan, Variant::Abc, 1);
     }
 
     #[test]

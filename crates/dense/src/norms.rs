@@ -4,9 +4,20 @@
 use crate::scalar::Scalar;
 use crate::view::MatRef;
 
-/// Maximum absolute entry, widened to `f64`.
+/// The larger of `acc` and `x`, where NaN wins (unlike `f64::max`, which
+/// drops it): a NaN anywhere must make an error measure fail every
+/// `err < tol` check instead of reading as 0.
+fn max_or_nan(acc: f64, x: f64) -> f64 {
+    if x > acc || x.is_nan() {
+        x
+    } else {
+        acc
+    }
+}
+
+/// Maximum absolute entry, widened to `f64`; NaN if any entry is NaN.
 pub fn max_abs<T: Scalar>(a: MatRef<'_, T>) -> f64 {
-    a.fold(0.0_f64, |acc, v| acc.max(v.abs().to_f64()))
+    a.fold(0.0_f64, |acc, v| max_or_nan(acc, v.abs().to_f64()))
 }
 
 /// Frobenius norm, accumulated in `f64` regardless of the element type.
@@ -14,8 +25,8 @@ pub fn frobenius<T: Scalar>(a: MatRef<'_, T>) -> f64 {
     a.fold(0.0, |acc, v| acc + v.to_f64() * v.to_f64()).sqrt()
 }
 
-/// Maximum absolute elementwise difference (in `f64`). Panics on shape
-/// mismatch.
+/// Maximum absolute elementwise difference (in `f64`); NaN if any
+/// compared element is NaN. Panics on shape mismatch.
 pub fn max_abs_diff<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> f64 {
     assert_eq!(a.rows(), b.rows(), "max_abs_diff: row mismatch");
     assert_eq!(a.cols(), b.cols(), "max_abs_diff: col mismatch");
@@ -25,7 +36,7 @@ pub fn max_abs_diff<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> f64 {
             // SAFETY: loop bounds are the (checked-equal) shape.
             let d =
                 unsafe { (a.at_unchecked(i, j).to_f64() - b.at_unchecked(i, j).to_f64()).abs() };
-            worst = worst.max(d);
+            worst = max_or_nan(worst, d);
         }
     }
     worst
@@ -77,6 +88,20 @@ mod tests {
     fn rel_error_zero_for_identical() {
         let a = crate::fill::bench_workload(5, 7, 1);
         assert_eq!(rel_error(a.as_ref(), a.as_ref()), 0.0);
+    }
+
+    #[test]
+    fn nan_entries_poison_every_error_measure() {
+        let good = crate::fill::bench_workload(4, 3, 1);
+        let mut bad = good.clone();
+        bad.set(3, 2, f64::NAN);
+        assert!(max_abs(bad.as_ref()).is_nan());
+        assert!(max_abs_diff(bad.as_ref(), good.as_ref()).is_nan());
+        assert!(max_abs_diff(good.as_ref(), bad.as_ref()).is_nan());
+        // NaN fails every `err < tol` check the suite makes.
+        assert!(rel_error(bad.as_ref(), good.as_ref()).is_nan());
+        let bad32 = bad.cast::<f32>();
+        assert!(rel_error(bad32.as_ref(), good.cast::<f32>().as_ref()).is_nan());
     }
 
     #[test]

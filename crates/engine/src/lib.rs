@@ -74,12 +74,11 @@ pub use fmm_tune::{kernel_fingerprint, ShapeClass, TuneStore, TunedChoice, Tuned
 
 use fmm_core::{fmm_execute, FmmPlan};
 use fmm_dense::{MatMut, MatRef};
-use fmm_gemm::{BlockingParams, GemmScalar};
+use fmm_gemm::{fan_out, resolve_workers, BlockingParams, GemmScalar};
 use fmm_model::{
     predict_gemm_parallel, predict_scheduled, rank_candidates, rank_scheduled, ArchParams, Impl,
 };
 use fmm_obs::audit::{AuditDtype, AuditSample, AuditSource};
-use fmm_sched::fan_out;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -152,10 +151,12 @@ pub struct EngineConfig {
     /// FMM, loop-3 data parallelism for plain GEMM).
     pub parallel: bool,
     /// Worker count for parallel execution and parallel-model routing;
-    /// `0` means the rayon pool width, and explicit values are clamped to
-    /// it (the pool bounds the parallelism every execution path can
-    /// realize, so ranking beyond it would model speedups that cannot
-    /// happen). Ignored when `parallel` is false.
+    /// `0` means the pool width, and explicit values are clamped to it
+    /// (the pool bounds the parallelism every execution path can realize,
+    /// so ranking beyond it would model speedups that cannot happen).
+    /// Every route runs on the count it was ranked for: DFS block
+    /// products, BFS and hybrid tasks, peeled rims and plain GEMM alike.
+    /// Ignored when `parallel` is false.
     pub workers: usize,
     /// Force every FMM execution onto one schedule instead of letting the
     /// model pick per shape. Ignored when `parallel` is false (sequential
@@ -526,18 +527,15 @@ impl<T: GemmScalar> FmmEngine<T> {
         self.counters.reset();
     }
 
-    /// Worker count parallel executions and parallel-model routing use:
-    /// the configured count clamped to the rayon pool width, so the model
-    /// never ranks with parallelism the machine cannot deliver.
+    /// Worker count every execution and parallel-model routing use: the
+    /// configured count clamped to the pool width, so the model never
+    /// ranks with parallelism the machine cannot deliver, and each route
+    /// runs on the workers it was ranked for.
     fn effective_workers(&self) -> usize {
-        if !self.config.parallel {
-            return 1;
-        }
-        let pool = rayon::current_num_threads();
-        if self.config.workers > 0 {
-            self.config.workers.min(pool).max(1)
+        if self.config.parallel {
+            resolve_workers(self.config.workers)
         } else {
-            pool
+            1
         }
     }
 
@@ -698,11 +696,7 @@ impl<T: GemmScalar> FmmEngine<T> {
             let mut guard = self.checkout();
             let ctx = guard.ctx();
             let grows_before = ctx.grow_count();
-            if self.config.parallel {
-                ctx.preplan(&plan, variant, strategy, workers, m, k, n);
-            } else {
-                ctx.fmm_context().preplan(&plan, variant, m, k, n);
-            }
+            ctx.preplan(&plan, variant, strategy, workers, m, k, n);
             self.counters.arena_grows.fetch_add(ctx.grow_count() - grows_before, Ordering::Relaxed);
         }
     }
@@ -948,11 +942,7 @@ impl<T: GemmScalar> FmmEngine<T> {
 
     fn run_gemm(&self, c: MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
         // Plain GEMM packing buffers come from fmm-gemm's global pool.
-        if self.config.parallel {
-            fmm_gemm::gemm_parallel(c, a, b);
-        } else {
-            fmm_gemm::gemm(c, a, b);
-        }
+        fmm_gemm::gemm_on_workers(c, a, b, &self.config.params, self.effective_workers());
     }
 
     fn run_fmm(
@@ -967,18 +957,13 @@ impl<T: GemmScalar> FmmEngine<T> {
         let mut guard = self.checkout();
         let ctx = guard.ctx();
         let grows_before = ctx.grow_count();
-        let occupied = if self.config.parallel {
-            let task_ws =
-                fmm_sched::execute(c, a, b, plan, variant, strategy, ctx, self.config.workers);
-            if matches!(strategy, Strategy::Dfs) {
-                ctx.fmm_context().last_layout().map_or(0, ArenaLayout::total_elements)
-            } else {
-                task_ws
-            }
+        // Sequential engines decide DFS only, so one call serves both.
+        let task_ws =
+            fmm_sched::execute(c, a, b, plan, variant, strategy, ctx, self.effective_workers());
+        let occupied = if matches!(strategy, Strategy::Dfs) {
+            ctx.fmm_context().last_layout().map_or(0, ArenaLayout::total_elements)
         } else {
-            let fmm = ctx.fmm_context();
-            fmm_execute(c, a, b, plan, variant, fmm);
-            fmm.last_layout().map_or(0, ArenaLayout::total_elements)
+            task_ws
         };
         self.counters.arena_grows.fetch_add(ctx.grow_count() - grows_before, Ordering::Relaxed);
         occupied

@@ -12,9 +12,19 @@
 //! `pc` over `k` in steps of `kc` (loop 4, packs `B̃`), `ic` over `m` in
 //! steps of `mc` (loop 3, packs `Ã`), then the macro-kernel: `jr` (loop 2)
 //! and `ir` (loop 1) over micro-tiles.
+//!
+//! Loop 3 is the parallel one, as in the paper's OpenMP scheme (§5.1):
+//! [`gemm_sums_workers`] hands its `ic` blocks to
+//! [`crate::parallel::fan_out`]. Each worker packs its own `Ã` (private,
+//! in that core's L2) from a pooled buffer, and all workers share the one
+//! `B̃` panel (in L3), the sharing pattern BLIS uses. Workers write
+//! disjoint row ranges `[ic, ic + mc)` of every destination, so `C` needs
+//! no synchronization beyond the join. With one worker, loop 3 runs
+//! inline on the caller's `Ã` buffer.
 
 use crate::kernel::{GemmScalar, MicroKernelFn, ACC_CAP};
 use crate::pack;
+use crate::parallel::{fan_out, resolve_workers};
 use crate::params::BlockingParams;
 use crate::workspace::GemmWorkspace;
 use fmm_dense::{MatMut, MatRef, Scalar};
@@ -42,8 +52,8 @@ impl<'a, T: Scalar> DestTile<'a, T> {
         (self.view.rows(), self.view.cols())
     }
 
-    /// Immutable raw parts, used by the parallel driver.
-    pub(crate) fn raw(&mut self) -> RawDest<T> {
+    /// Raw parts the macro-kernel writes through.
+    fn raw(&mut self) -> RawDest<T> {
         RawDest {
             ptr: self.view.as_mut_ptr(),
             rows: self.view.rows(),
@@ -59,7 +69,7 @@ impl<'a, T: Scalar> DestTile<'a, T> {
 /// array of them. Writes through it are only sound while the originating
 /// `DestTile` borrow is live and writers touch disjoint element sets.
 #[derive(Debug)]
-pub(crate) struct RawDest<T> {
+struct RawDest<T> {
     pub ptr: *mut T,
     pub rows: usize,
     pub cols: usize,
@@ -76,14 +86,14 @@ impl<T: Scalar> Clone for RawDest<T> {
 
 impl<T: Scalar> Copy for RawDest<T> {}
 
-// SAFETY: see the invariant on the type — the parallel driver partitions
-// writers by disjoint row ranges, and the sequential driver is single
-// threaded. The pointer itself is as sendable as the `&mut` it came from.
+// SAFETY: see the invariant on the type — the driver's loop-3 workers
+// write disjoint row ranges. The pointer itself is as sendable as the
+// `&mut` it came from.
 unsafe impl<T: Scalar> Send for RawDest<T> {}
 unsafe impl<T: Scalar> Sync for RawDest<T> {}
 
 /// Generalized GEMM: for every destination `d`,
-/// `C_d (+)= w_d * (sum a_terms) * (sum b_terms)`.
+/// `C_d (+)= w_d * (sum a_terms) * (sum b_terms)`, on one worker.
 ///
 /// All `a_terms` must share one shape `(m, k)`, all `b_terms` one shape
 /// `(k, n)`, and all destinations one shape `(m, n)`.
@@ -97,7 +107,7 @@ pub fn gemm_sums<T: GemmScalar>(
     params: &BlockingParams,
     ws: &mut GemmWorkspace<T>,
 ) {
-    gemm_sums_impl(dests, a_terms, b_terms, params, ws, false)
+    gemm_sums_workers(dests, a_terms, b_terms, params, ws, 1, false)
 }
 
 /// As [`gemm_sums`], but destinations are overwritten (`C_d = w_d * P`)
@@ -109,24 +119,30 @@ pub fn gemm_sums_overwrite<T: GemmScalar>(
     params: &BlockingParams,
     ws: &mut GemmWorkspace<T>,
 ) {
-    gemm_sums_impl(dests, a_terms, b_terms, params, ws, true)
+    gemm_sums_workers(dests, a_terms, b_terms, params, ws, 1, true)
 }
 
-fn gemm_sums_impl<T: GemmScalar>(
+/// The five loops: [`gemm_sums`] (or, with `overwrite`,
+/// [`gemm_sums_overwrite`]) with loop 3 on `workers` workers (`0` = the
+/// pool width; see [`resolve_workers`]). `ws` holds the shared `B̃`, and
+/// `Ã` too when one worker runs. The result does not depend on the worker
+/// count: every element sees the same packing, kernel and summation order.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_sums_workers<T: GemmScalar>(
     dests: &mut [DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
     b_terms: &[(T, MatRef<'_, T>)],
     params: &BlockingParams,
     ws: &mut GemmWorkspace<T>,
+    workers: usize,
     overwrite: bool,
 ) {
     let (m, k, n) = check_shapes(dests, a_terms, b_terms);
     // The register tile is the kernel's property, not the caller's: pack
     // micro-panels for `T`'s kernel, keep the caller's cache blocking.
-    let params = params.with_register_tile(T::MR, T::NR);
+    let params = &params.with_register_tile(T::MR, T::NR);
     params.validate().expect("invalid blocking parameters");
-    ws.ensure(&params);
-    let mut raw: Vec<RawDest<T>> = dests.iter_mut().map(|d| d.raw()).collect();
+    ws.ensure(params);
     if m == 0 || n == 0 {
         return;
     }
@@ -138,7 +154,11 @@ fn gemm_sums_impl<T: GemmScalar>(
         }
         return;
     }
+    let raw: Vec<RawDest<T>> = dests.iter_mut().map(|d| d.raw()).collect();
     let ukr = T::micro_kernel();
+    let ic_blocks = m.div_ceil(params.mc);
+    let workers = resolve_workers(workers).min(ic_blocks);
+    let GemmWorkspace { abuf, bbuf } = ws;
 
     let mut jc = 0;
     while jc < n {
@@ -150,25 +170,40 @@ fn gemm_sums_impl<T: GemmScalar>(
             let b_slices: Vec<(T, MatRef<'_, T>)> =
                 b_terms.iter().map(|(g, b)| (*g, b.submatrix(pc, jc, kb, nb))).collect();
             let t_pack = crate::obs_hooks::phase_start();
-            pack::pack_b_sum(&mut ws.bbuf, &b_slices, params.nr);
+            pack::pack_b_sum(bbuf, &b_slices, params.nr);
             crate::obs_hooks::pack_done(t_pack);
             // First k-panel overwrites if requested; later panels accumulate.
             let store = overwrite && pc == 0;
+            let bshared: &[T] = bbuf;
 
-            let mut ic = 0;
-            while ic < m {
+            // Loop 3 body: pack (the sum of) A into Ã, then the
+            // macro-kernel over rows [ic, ic + mb) of every destination.
+            let loop3 = |abuf: &mut [T], blk: usize| {
+                let ic = blk * params.mc;
                 let mb = params.mc.min(m - ic);
-                // Loop 3 body: pack (the sum of) A into Ã.
                 let a_slices: Vec<(T, MatRef<'_, T>)> =
                     a_terms.iter().map(|(g, a)| (*g, a.submatrix(ic, pc, mb, kb))).collect();
                 let t_pack = crate::obs_hooks::phase_start();
-                pack::pack_a_sum(&mut ws.abuf, &a_slices, params.mr);
+                pack::pack_a_sum(abuf, &a_slices, params.mr);
                 crate::obs_hooks::pack_done(t_pack);
-
                 let t_kernel = crate::obs_hooks::phase_start();
-                macro_kernel(&mut raw, &ws.abuf, &ws.bbuf, ic, jc, mb, nb, kb, ukr, store);
+                macro_kernel(&raw, abuf, bshared, ic, jc, mb, nb, kb, ukr, store);
                 crate::obs_hooks::kernel_done(t_kernel);
-                ic += params.mc;
+            };
+            if workers == 1 {
+                for blk in 0..ic_blocks {
+                    loop3(&mut abuf[..], blk);
+                }
+            } else {
+                // Blocks are disjoint in `ic`, so the writes through
+                // `RawDest` cannot race. Per-worker Ã buffers come from
+                // the global pool: the warm path allocates nothing.
+                fan_out(
+                    ic_blocks,
+                    workers,
+                    || T::global_pool().acquire(params),
+                    |aws, blk| loop3(&mut aws.abuf[..], blk),
+                );
             }
             pc += params.kc;
         }
@@ -179,8 +214,8 @@ fn gemm_sums_impl<T: GemmScalar>(
 /// Loops 2 and 1: sweep `nr x mr` micro-tiles of the current block, run the
 /// micro-kernel, and scatter the accumulator into every destination.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn macro_kernel<T: GemmScalar>(
-    dests: &mut [RawDest<T>],
+fn macro_kernel<T: GemmScalar>(
+    dests: &[RawDest<T>],
     abuf: &[T],
     bbuf: &[T],
     ic: usize,
@@ -269,7 +304,7 @@ unsafe fn apply_tile<T: GemmScalar>(
     }
 }
 
-pub(crate) fn check_shapes<T: Scalar>(
+fn check_shapes<T: Scalar>(
     dests: &[DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
     b_terms: &[(T, MatRef<'_, T>)],
@@ -521,6 +556,50 @@ mod tests {
             let bound = <f32 as Scalar>::accuracy_bound(k, 0);
             assert!(err < bound, "m={m} k={k} n={n}: err={err} bound={bound}");
         }
+    }
+
+    #[test]
+    fn worker_count_does_not_change_a_bit() {
+        // Operand sums, two destinations, accumulate and overwrite: the
+        // same packing, kernel and per-element summation order at every
+        // worker count (the one-worker results are checked against the
+        // reference by the tests above).
+        let p = BlockingParams::tiny();
+        for (m, k, n) in [(64, 32, 48), (33, 17, 29), (100, 7, 3)] {
+            let a0 = fill::bench_workload(m, k, 1);
+            let a1 = fill::bench_workload(m, k, 2);
+            let b = fill::bench_workload(k, n, 3);
+            for overwrite in [false, true] {
+                let run = |workers| {
+                    let mut c0 = fill::bench_workload(m, n, 4);
+                    let mut c1 = fill::bench_workload(m, n, 5);
+                    gemm_sums_workers(
+                        &mut [DestTile::new(c0.as_mut(), 2.0), DestTile::new(c1.as_mut(), -1.0)],
+                        &[(1.0, a0.as_ref()), (-1.0, a1.as_ref())],
+                        &[(1.0, b.as_ref())],
+                        &p,
+                        &mut GemmWorkspace::empty(),
+                        workers,
+                        overwrite,
+                    );
+                    (c0, c1)
+                };
+                let one = run(1);
+                for workers in [0, 2, 4] {
+                    assert!(run(workers) == one, "m={m} k={k} n={n} workers={workers}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_parallel_entry_point() {
+        let a = fill::bench_workload(70, 30, 9);
+        let b = fill::bench_workload(30, 50, 10);
+        let mut c = Matrix::zeros(70, 50);
+        crate::gemm_parallel(c.as_mut(), a.as_ref(), b.as_ref());
+        let c_ref = reference::matmul(a.as_ref(), b.as_ref());
+        assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-11);
     }
 
     #[test]

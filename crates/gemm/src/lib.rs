@@ -17,7 +17,8 @@
 //!
 //! Plain GEMM ([`gemm`], [`gemm_parallel`]) is the special case with one term
 //! per operand and one destination; the FMM executors in `fmm-core` invoke
-//! the general driver directly.
+//! the general driver ([`driver::gemm_sums_workers`]) directly. There is
+//! one driver, whatever the worker count.
 //!
 //! The whole substrate is generic over the packed element type through
 //! [`kernel::GemmScalar`] (`f64` default, `f32` supported): the trait owns
@@ -29,7 +30,12 @@
 //! blocking as configured.
 //!
 //! Parallelism mirrors the paper's OpenMP scheme: the third loop around the
-//! micro-kernel (the `ic` loop) is data-parallel over rayon worker threads.
+//! micro-kernel (the `ic` loop) is data-parallel over a bounded number of
+//! workers. The fan-out it runs on, [`fan_out`], is the one every parallel
+//! path in the workspace uses (the scheduler's tasks and the engine's
+//! batches too); a worker count of `0` means the pool width
+//! (`rayon::current_num_threads`), and explicit counts are clamped to it
+//! ([`resolve_workers`]).
 //!
 //! # Example
 //!
@@ -59,6 +65,7 @@ pub mod workspace;
 
 pub use driver::{gemm_sums, DestTile};
 pub use kernel::{GemmScalar, MicroKernelFn};
+pub use parallel::{fan_out, resolve_workers};
 pub use params::BlockingParams;
 pub use workspace::{GemmWorkspace, PooledWorkspace, WorkspacePool};
 
@@ -81,23 +88,31 @@ pub fn gemm_with_params<T: GemmScalar>(
     b: MatRef<'_, T>,
     params: &BlockingParams,
 ) {
-    let mut ws = T::global_pool().acquire(params);
-    driver::gemm_sums(
+    gemm_on_workers(c, a, b, params, 1)
+}
+
+/// `C += A * B`, parallel over the `ic` loop on the whole pool.
+pub fn gemm_parallel<T: GemmScalar>(c: MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
+    gemm_on_workers(c, a, b, &BlockingParams::default(), 0)
+}
+
+/// `C += A * B` with the `ic` loop on `workers` workers (`0` = the pool
+/// width). The shared `B̃` (and, for one worker, `Ã`) comes from the
+/// dtype's global [`WorkspacePool`].
+pub fn gemm_on_workers<T: GemmScalar>(
+    c: MatMut<'_, T>,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    params: &BlockingParams,
+    workers: usize,
+) {
+    driver::gemm_sums_workers(
         &mut [DestTile::new(c, T::ONE)],
         &[(T::ONE, a)],
         &[(T::ONE, b)],
         params,
-        &mut ws,
-    );
-}
-
-/// `C += A * B`, parallel over the `ic` loop using the global rayon pool.
-pub fn gemm_parallel<T: GemmScalar>(c: MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
-    let params = BlockingParams::default();
-    parallel::gemm_sums_parallel(
-        &mut [DestTile::new(c, T::ONE)],
-        &[(T::ONE, a)],
-        &[(T::ONE, b)],
-        &params,
+        &mut T::global_pool().acquire(params),
+        workers,
+        false,
     );
 }

@@ -1,211 +1,174 @@
-//! Data-parallel GEMM: the third loop around the micro-kernel (the `ic`
-//! loop) is distributed over rayon workers, mirroring the paper's OpenMP
-//! scheme (§5.1, citing Smith et al. IPDPS'14).
+//! The one fan-out every parallel path runs on: the GEMM driver's `ic`
+//! loop (the paper's loop-3 data parallelism, §5.1), the scheduler's BFS
+//! and hybrid tasks, and the engine's batches.
 //!
-//! Each worker packs its own `Ã_i` block (private, lives in that core's L2)
-//! while all workers share the packed `B̃_p` panel (lives in L3) — exactly
-//! the sharing pattern BLIS uses. Workers write disjoint row ranges
-//! `[ic, ic + mc)` of every destination, so no synchronization on `C` is
-//! needed beyond the loop barrier.
+//! [`fan_out`] runs on `std::thread::scope`: the caller is one worker and
+//! the rest are scoped threads spawned per call. Workers claim indices
+//! from a shared atomic counter, so load imbalance between tasks (FMM
+//! products with different numbers of operand terms, a ragged last `ic`
+//! block) spreads evenly, unlike static chunking.
 
-use crate::driver::{check_shapes, macro_kernel, DestTile, RawDest};
-use crate::kernel::GemmScalar;
-use crate::pack;
-use crate::params::BlockingParams;
-use fmm_dense::MatRef;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// Parallel generalized GEMM: `C_d += w_d * (sum A_i)(sum B_j)` for every
-/// destination, with the `ic` loop parallelized over the current rayon pool.
-pub fn gemm_sums_parallel<T: GemmScalar>(
-    dests: &mut [DestTile<'_, T>],
-    a_terms: &[(T, MatRef<'_, T>)],
-    b_terms: &[(T, MatRef<'_, T>)],
-    params: &BlockingParams,
-) {
-    gemm_sums_parallel_impl(dests, a_terms, b_terms, params, false)
+/// Gauge counting workers currently inside a [`fan_out`]: the live
+/// busy-worker view exported through the process-global obs registry.
+fn busy_gauge() -> &'static Arc<fmm_obs::Gauge> {
+    static G: OnceLock<Arc<fmm_obs::Gauge>> = OnceLock::new();
+    G.get_or_init(|| fmm_obs::global().gauge("fmm_sched_workers_busy"))
 }
 
-/// Parallel variant of [`crate::driver::gemm_sums_overwrite`].
-pub fn gemm_sums_parallel_overwrite<T: GemmScalar>(
-    dests: &mut [DestTile<'_, T>],
-    a_terms: &[(T, MatRef<'_, T>)],
-    b_terms: &[(T, MatRef<'_, T>)],
-    params: &BlockingParams,
-) {
-    gemm_sums_parallel_impl(dests, a_terms, b_terms, params, true)
+/// Holds one unit of the busy gauge; released on drop, on the unwind
+/// path too.
+struct Busy(&'static fmm_obs::Gauge);
+
+impl Busy {
+    fn enter() -> Self {
+        let gauge = busy_gauge();
+        gauge.add(1);
+        Busy(gauge)
+    }
 }
 
-fn gemm_sums_parallel_impl<T: GemmScalar>(
-    dests: &mut [DestTile<'_, T>],
-    a_terms: &[(T, MatRef<'_, T>)],
-    b_terms: &[(T, MatRef<'_, T>)],
-    params: &BlockingParams,
-    overwrite: bool,
-) {
-    let (m, k, n) = check_shapes(dests, a_terms, b_terms);
-    // As in the sequential driver: pack for `T`'s kernel tile.
-    let params = &params.with_register_tile(T::MR, T::NR);
-    params.validate().expect("invalid blocking parameters");
-    if m == 0 || n == 0 {
+impl Drop for Busy {
+    fn drop(&mut self) {
+        self.0.sub(1);
+    }
+}
+
+/// The worker count a parallel call really runs on. `0` means the pool
+/// width (`rayon::current_num_threads`); explicit counts are clamped to
+/// it, since that is all the parallelism the fan-out may use. A count of
+/// one never reads the pool width.
+pub fn resolve_workers(workers: usize) -> usize {
+    if workers == 1 {
+        return 1;
+    }
+    let pool = rayon::current_num_threads();
+    if workers == 0 {
+        pool
+    } else {
+        workers.min(pool)
+    }
+}
+
+/// Run `body` for every index in `0..tasks` on at most
+/// [`resolve_workers`]`(workers)` workers, each with a private `init()`
+/// state. One worker runs inline on the caller; more run the caller plus
+/// scoped threads, joined before the call returns (which also hands
+/// their trace rings on, see `fmm_obs::trace`). A panic in any task
+/// reaches the caller once every worker has stopped.
+pub fn fan_out<S, I, F>(tasks: usize, workers: usize, init: I, body: F)
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
+{
+    if tasks == 0 {
         return;
     }
-    let raw: Vec<RawDest<T>> = dests.iter_mut().map(|d| d.raw()).collect();
-    if k == 0 {
-        if overwrite {
-            // Zero all destinations (k = 0 product is the zero matrix).
-            for d in raw {
-                for j in 0..d.cols {
-                    for i in 0..d.rows {
-                        // SAFETY: (i, j) in bounds; single-threaded here.
-                        unsafe { *d.ptr.offset(i as isize * d.rs + j as isize * d.cs) = T::ZERO };
-                    }
-                }
+    let workers = resolve_workers(workers).min(tasks);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let _busy = Busy::enter();
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
+                break;
+            }
+            body(&mut state, i);
+        }
+    };
+    if workers == 1 {
+        work();
+        return;
+    }
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        work();
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-        return;
-    }
-    let ukr = T::micro_kernel();
-    let n_ic_blocks = m.div_ceil(params.mc);
-
-    // Shared B̃ panel, packed once per (jc, pc) iteration. Pooled (one pool
-    // per dtype), so the warm path allocates nothing.
-    let mut bws = T::global_pool().acquire(params);
-    let bbuf = &mut bws.bbuf;
-
-    let mut jc = 0;
-    while jc < n {
-        let nb = params.nc.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kb = params.kc.min(k - pc);
-            let b_slices: Vec<(T, MatRef<'_, T>)> =
-                b_terms.iter().map(|(g, b)| (*g, b.submatrix(pc, jc, kb, nb))).collect();
-            let t_pack = crate::obs_hooks::phase_start();
-            pack::pack_b_sum(bbuf, &b_slices, params.nr);
-            crate::obs_hooks::pack_done(t_pack);
-            let store = overwrite && pc == 0;
-            let bshared: &[T] = bbuf;
-
-            (0..n_ic_blocks).into_par_iter().for_each_init(
-                // Per-worker packing buffers come from the global pool,
-                // so steady-state parallel GEMM allocates nothing.
-                || T::global_pool().acquire(params),
-                |ws, blk| {
-                    let ic = blk * params.mc;
-                    let mb = params.mc.min(m - ic);
-                    let a_slices: Vec<(T, MatRef<'_, T>)> =
-                        a_terms.iter().map(|(g, a)| (*g, a.submatrix(ic, pc, mb, kb))).collect();
-                    let t_pack = crate::obs_hooks::phase_start();
-                    pack::pack_a_sum(&mut ws.abuf, &a_slices, params.mr);
-                    crate::obs_hooks::pack_done(t_pack);
-                    // Each task owns rows [ic, ic + mb) of every
-                    // destination; tasks are disjoint in `ic`, so the
-                    // writes through RawDest cannot race.
-                    let mut local = raw.clone();
-                    let t_kernel = crate::obs_hooks::phase_start();
-                    macro_kernel(&mut local, &ws.abuf, bshared, ic, jc, mb, nb, kb, ukr, store);
-                    crate::obs_hooks::kernel_done(t_kernel);
-                },
-            );
-            pc += params.kc;
-        }
-        jc += params.nc;
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::gemm_sums;
-    use crate::reference;
-    use crate::workspace::GemmWorkspace;
-    use fmm_dense::{fill, norms, Matrix};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn parallel_matches_sequential_driver() {
-        let p = BlockingParams::tiny();
-        for (m, k, n) in [(64, 32, 48), (33, 17, 29), (100, 7, 3)] {
-            let a = fill::bench_workload(m, k, 1);
-            let b = fill::bench_workload(k, n, 2);
-            let mut c_par = fill::bench_workload(m, n, 3);
-            let mut c_seq = c_par.clone();
-
-            gemm_sums_parallel(
-                &mut [DestTile::new(c_par.as_mut(), 1.0)],
-                &[(1.0, a.as_ref())],
-                &[(1.0, b.as_ref())],
-                &p,
+    fn fan_out_runs_every_index_exactly_once() {
+        for workers in [0, 1, 3, 8] {
+            let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
+            // Relaxed everywhere: `fan_out` joins its workers before
+            // returning, so the loads below are ordered by the join.
+            fan_out(
+                100,
+                workers,
+                || (),
+                |(), i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
             );
-            let mut ws = GemmWorkspace::for_params(&p);
-            gemm_sums(
-                &mut [DestTile::new(c_seq.as_mut(), 1.0)],
-                &[(1.0, a.as_ref())],
-                &[(1.0, b.as_ref())],
-                &p,
-                &mut ws,
-            );
-            // Same packing, same kernel, same summation order per element:
-            // results are bit-identical.
-            assert_eq!(c_par, c_seq, "m={m} k={k} n={n}");
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "workers={workers}");
         }
     }
 
     #[test]
-    fn parallel_multi_dest_and_sums() {
-        let p = BlockingParams::tiny();
-        let m = 48;
-        let k = 20;
-        let n = 36;
-        let a0 = fill::bench_workload(m, k, 4);
-        let a1 = fill::bench_workload(m, k, 5);
-        let b0 = fill::bench_workload(k, n, 6);
-        let mut c0 = Matrix::zeros(m, n);
-        let mut c1 = Matrix::zeros(m, n);
-        gemm_sums_parallel(
-            &mut [DestTile::new(c0.as_mut(), 2.0), DestTile::new(c1.as_mut(), -1.0)],
-            &[(1.0, a0.as_ref()), (-1.0, a1.as_ref())],
-            &[(1.0, b0.as_ref())],
-            &p,
+    fn fan_out_gives_each_worker_its_own_state() {
+        let inits = AtomicU64::new(0);
+        let total = AtomicU64::new(0);
+        fan_out(
+            64,
+            4,
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            },
+            |seen: &mut Vec<usize>, i| {
+                // A shared state would let one worker see another's index.
+                assert!(seen.iter().all(|&j| j < i), "indices are claimed in order");
+                seen.push(i);
+                total.fetch_add(1, Ordering::Relaxed);
+            },
         );
-        let mut asum = Matrix::zeros(m, k);
-        fmm_dense::ops::linear_combination(
-            asum.as_mut(),
-            &[(1.0, a0.as_ref()), (-1.0, a1.as_ref())],
-        )
-        .unwrap();
-        let prod = reference::matmul(asum.as_ref(), b0.as_ref());
-        for j in 0..n {
-            for i in 0..m {
-                assert!((c0.get(i, j) - 2.0 * prod.get(i, j)).abs() < 1e-12);
-                assert!((c1.get(i, j) + prod.get(i, j)).abs() < 1e-12);
-            }
-        }
+        assert_eq!(total.load(Ordering::Relaxed), 64);
+        let inits = inits.load(Ordering::Relaxed);
+        assert!((1..=4).contains(&inits), "one init per worker, got {inits}");
     }
 
     #[test]
-    fn parallel_overwrite_semantics() {
-        let p = BlockingParams::tiny();
-        let a = fill::bench_workload(24, 25, 7);
-        let b = fill::bench_workload(25, 16, 8);
-        let mut c = Matrix::filled(24, 16, 55.0);
-        gemm_sums_parallel_overwrite(
-            &mut [DestTile::new(c.as_mut(), 1.0)],
-            &[(1.0, a.as_ref())],
-            &[(1.0, b.as_ref())],
-            &p,
-        );
-        let c_ref = reference::matmul(a.as_ref(), b.as_ref());
-        assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-12);
+    fn fan_out_of_zero_tasks_is_a_noop() {
+        fan_out(0, 4, || panic!("no tasks, no workers"), |(), _| panic!("no tasks, no calls"));
     }
 
     #[test]
-    fn gemm_parallel_entry_point() {
-        let a = fill::bench_workload(70, 30, 9);
-        let b = fill::bench_workload(30, 50, 10);
-        let mut c = Matrix::zeros(70, 50);
-        crate::gemm_parallel(c.as_mut(), a.as_ref(), b.as_ref());
-        let c_ref = reference::matmul(a.as_ref(), b.as_ref());
-        assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-11);
+    fn fan_out_task_panic_reaches_the_caller() {
+        let ran = AtomicU64::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fan_out(
+                16,
+                4,
+                || (),
+                |(), i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if i == 5 {
+                        panic!("task failure");
+                    }
+                },
+            );
+        }));
+        let payload = result.expect_err("the task panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task failure"));
+        assert!(ran.load(Ordering::Relaxed) >= 6);
+    }
+
+    #[test]
+    fn one_worker_never_leaves_the_calling_thread() {
+        let caller = std::thread::current().id();
+        fan_out(10, 1, || (), |(), _| assert_eq!(std::thread::current().id(), caller));
     }
 }

@@ -37,9 +37,8 @@ impl<T: Scalar> GemmWorkspace<T> {
     }
 
     /// Zero-capacity workspace; the driver's [`GemmWorkspace::ensure`] call
-    /// sizes it on first sequential use. Lets holders that may never pack
-    /// (e.g. contexts running only parallel or rim-free executions) defer
-    /// the multi-megabyte buffers.
+    /// sizes it on first use. Lets holders that may never pack defer the
+    /// multi-megabyte buffers.
     pub fn empty() -> Self {
         Self { abuf: AlignedBuf::zeroed(0), bbuf: AlignedBuf::zeroed(0) }
     }

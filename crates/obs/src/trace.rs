@@ -4,7 +4,10 @@
 //! [`SpanEvent`]s (preallocated at first use, overwritten in place —
 //! the warm path never allocates, which [`ring_allocations`] lets
 //! tests prove). Rings register themselves in a process-global list so
-//! [`recent`] can merge a cross-thread timeline for export.
+//! [`recent`] can merge a cross-thread timeline for export. When a
+//! thread exits its ring passes to the next thread that records, with
+//! its events still readable, so short-lived worker threads do not each
+//! leave a ring behind.
 //!
 //! The off switch is a single `AtomicBool`: when disabled, [`enabled`]
 //! is one relaxed load and a branch, and every instrumentation site in
@@ -29,7 +32,7 @@
 //! the allowed exception, justified inline. Export paths (`recent`,
 //! `chrome_trace`) are cold and may allocate.
 
-use std::cell::{Cell, OnceCell};
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -108,7 +111,10 @@ pub struct SpanEvent {
     pub request_id: u64,
     pub start_nanos: u64,
     pub end_nanos: u64,
-    /// Small per-thread ordinal (ring creation order), for timelines.
+    /// Ordinal of the ring the event was written to (ring creation
+    /// order), for timelines. A ring changes hands only when its thread
+    /// lets go of it, so threads that run at the same time never share
+    /// an ordinal.
     pub thread: u32,
 }
 
@@ -198,8 +204,29 @@ fn rings() -> &'static Mutex<Vec<Arc<Ring>>> {
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// Rings whose threads let go of them, waiting for the next thread that
+/// records.
+fn free_rings() -> &'static Mutex<Vec<Arc<Ring>>> {
+    static FREE: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+    FREE.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// This thread's ring, handed to [`free_rings`] when the thread exits
+/// (before a join on it returns).
+struct LocalRing(RefCell<Option<Arc<Ring>>>);
+
+impl Drop for LocalRing {
+    fn drop(&mut self) {
+        // Never panic here (a thread-exit destructor): a poisoned list
+        // keeps the ring out of reuse, nothing more.
+        if let (Some(ring), Ok(mut free)) = (self.0.get_mut().take(), free_rings().lock()) {
+            free.push(ring);
+        }
+    }
+}
+
 thread_local! {
-    static LOCAL_RING: OnceCell<Arc<Ring>> = const { OnceCell::new() };
+    static LOCAL_RING: LocalRing = const { LocalRing(RefCell::new(None)) };
     static CURRENT_REQUEST: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -217,24 +244,33 @@ pub fn current_request() -> u64 {
     CURRENT_REQUEST.with(|c| c.get())
 }
 
-/// Append an event to this thread's ring, creating + registering the
-/// ring on first use. After the first call on a thread, this path
-/// performs zero heap allocations: the ring `Vec` is preallocated to
-/// full capacity and old events are overwritten in place.
+/// A ring for a thread's first event: a released one if any, else a new
+/// ring registered in the global list.
+fn adopt_ring() -> Arc<Ring> {
+    if let Some(ring) = free_rings().lock().unwrap().pop() {
+        return ring;
+    }
+    // fmm-check: allow(deny-alloc, reason = "one-time ring creation when no released ring is free; warm calls reuse it")
+    let ring = Arc::new(Ring {
+        ordinal: NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed),
+        // fmm-check: allow(deny-alloc, reason = "one-time ring preallocation; warm writes overwrite in place")
+        inner: Mutex::new(RingBuf { buf: Vec::with_capacity(RING_CAPACITY), next: 0 }),
+    });
+    RING_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    rings().lock().unwrap().push(Arc::clone(&ring));
+    ring
+}
+
+/// Append an event to this thread's ring, adopting a ring on first use.
+/// After the first call on a thread, this path performs zero heap
+/// allocations: the ring `Vec` is preallocated to full capacity and old
+/// events are overwritten in place. An event recorded while the thread's
+/// locals are being torn down is dropped.
 // fmm-check: contract(warm-alloc-free)
 pub fn record(mut event: SpanEvent) {
-    LOCAL_RING.with(|cell| {
-        let ring = cell.get_or_init(|| {
-            // fmm-check: allow(deny-alloc, reason = "one-time per-thread ring creation at first use; warm calls reuse it")
-            let ring = Arc::new(Ring {
-                ordinal: NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed),
-                // fmm-check: allow(deny-alloc, reason = "one-time per-thread ring preallocation; warm writes overwrite in place")
-                inner: Mutex::new(RingBuf { buf: Vec::with_capacity(RING_CAPACITY), next: 0 }),
-            });
-            RING_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            rings().lock().unwrap().push(Arc::clone(&ring));
-            ring
-        });
+    let _ = LOCAL_RING.try_with(|local| {
+        let mut slot = local.0.borrow_mut();
+        let ring = slot.get_or_insert_with(adopt_ring);
         event.thread = ring.ordinal;
         let mut inner = ring.inner.lock().unwrap();
         if inner.buf.len() < RING_CAPACITY {
@@ -244,8 +280,8 @@ pub fn record(mut event: SpanEvent) {
             inner.buf[at] = event;
         }
         inner.next = (inner.next + 1) % RING_CAPACITY;
+        EVENTS_RECORDED.fetch_add(1, Ordering::Relaxed);
     });
-    EVENTS_RECORDED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Total events ever written to any ring. Flat while tracing is
@@ -254,8 +290,9 @@ pub fn events_recorded() -> u64 {
     EVENTS_RECORDED.load(Ordering::Relaxed)
 }
 
-/// Number of per-thread rings ever allocated. Flat across a warm
-/// serving run — the "warm path is allocation-free" proof.
+/// Number of rings ever allocated. Flat across a warm serving run — the
+/// "warm path is allocation-free" proof — and across threads that start
+/// after others have exited.
 pub fn ring_allocations() -> u64 {
     RING_ALLOCATIONS.load(Ordering::Relaxed)
 }
@@ -379,6 +416,16 @@ mod tests {
         assert!(ids.contains(&101) && ids.contains(&202), "ids={ids:?}");
         let threads: Vec<u32> = events.iter().map(|e| e.thread).collect();
         assert!(threads[0] != threads[1] || events.len() != 2);
+
+        // An exited thread's ring passes to the next new thread, and the
+        // old thread's events stay readable.
+        let rings_before = ring_allocations();
+        for id in 301..311 {
+            std::thread::spawn(move || mark(SpanKind::TaskExec, id)).join().unwrap();
+        }
+        assert_eq!(ring_allocations(), rings_before, "joined threads' rings are reused");
+        let events = recent(0);
+        assert!((202..=202).chain(301..311).all(|id| events.iter().any(|e| e.request_id == id)));
 
         // Request tagging is per-thread and restores.
         let prev = set_current_request(55);

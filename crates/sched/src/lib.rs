@@ -20,7 +20,10 @@
 //!   sweet spot when `R_L` tasks would be too fine-grained but one product
 //!   is too coarse for data parallelism.
 //!
-//! Per-task GEMMs run the *sequential* driver with
+//! Every strategy runs on at most `workers` workers. DFS gives them to the
+//! GEMM driver's `ic` loop inside each block product; BFS and hybrid give
+//! them to their tasks through [`fmm_gemm::fan_out`], the one fan-out the
+//! workspace has. Per-task GEMMs run the driver on one worker with
 //! [`BlockingParams::for_workers`]-shrunk panels, so task parallelism never
 //! oversubscribes cores or the shared cache. All per-task state — the task
 //! arena, a context-private packing-workspace pool, and the hybrid
@@ -54,19 +57,12 @@
 use fmm_core::executor::{gather_terms, ArenaViews, DestBlocks, OperandBlocks, WorkspaceArena};
 use fmm_core::{fmm_execute, fmm_execute_parallel, peeling, tasks, FmmContext, FmmPlan, Variant};
 use fmm_dense::{ops, MatMut, MatRef};
-use fmm_gemm::{BlockingParams, DestTile, GemmScalar, WorkspacePool};
+use fmm_gemm::{fan_out, resolve_workers, BlockingParams, DestTile, GemmScalar, WorkspacePool};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 pub use fmm_core::tasks::Strategy;
-
-/// Gauge counting workers currently inside a [`fan_out`] — the live
-/// busy-worker view exported through the process-global obs registry.
-fn busy_gauge() -> &'static Arc<fmm_obs::Gauge> {
-    static G: OnceLock<Arc<fmm_obs::Gauge>> = OnceLock::new();
-    G.get_or_init(|| fmm_obs::global().gauge("fmm_sched_workers_busy"))
-}
 
 /// Histogram of per-task execution time across both task strategies.
 fn task_hist() -> &'static Arc<fmm_obs::Histogram> {
@@ -279,75 +275,18 @@ const _: fn() = || {
     assert_send_sync::<SchedContext<f32>>();
 };
 
-/// `0` means "use the rayon pool width"; explicit counts are clamped to
-/// the pool width, since that is all the parallelism the fan-out can
-/// actually realize — prewarming pools or shrinking cache panels beyond it
-/// would pay for concurrency that never happens.
-fn resolve_workers(workers: usize) -> usize {
-    let pool = rayon::current_num_threads();
-    if workers == 0 {
-        pool
-    } else {
-        workers.min(pool).max(1)
-    }
-}
-
-/// Self-scheduling fan-out: run `body` for every index in `0..tasks` over
-/// at most `workers` workers, each with a private `init()` state. Workers
-/// claim indices from a shared atomic counter, so load imbalance between
-/// tasks (e.g. FMM products with different numbers of operand terms)
-/// spreads evenly — unlike static chunking. Built on the rayon stand-in's
-/// [`rayon::scope`]; effective parallelism is additionally bounded by the
-/// rayon pool width.
-pub fn fan_out<S, I, F>(tasks: usize, workers: usize, init: I, body: F)
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) + Sync,
-{
-    if tasks == 0 {
-        return;
-    }
-    let workers = resolve_workers(workers).clamp(1, tasks);
-    let busy = busy_gauge();
-    if workers == 1 {
-        busy.add(1);
-        let mut state = init();
-        for i in 0..tasks {
-            body(&mut state, i);
-        }
-        busy.sub(1);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    rayon::scope(|sc| {
-        for _ in 0..workers {
-            sc.spawn(|_| {
-                busy.add(1);
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks {
-                        break;
-                    }
-                    body(&mut state, i);
-                }
-                busy.sub(1);
-            });
-        }
-    });
-}
-
 /// Execute `C += A·B` under `strategy` with `workers` workers (`0` = the
-/// rayon pool width; explicit counts are clamped to it). Arbitrary
-/// dimensions; fringes are handled by dynamic peeling exactly as in
-/// [`fmm_core::fmm_execute`]. Returns the number of per-task
-/// workspace-arena elements the core execution occupied (0 for DFS, which
-/// uses the wrapped context's own arena).
+/// pool width; explicit counts are clamped to it, see
+/// [`fmm_gemm::resolve_workers`]). Arbitrary dimensions; fringes are
+/// handled by dynamic peeling exactly as in [`fmm_core::fmm_execute`], and
+/// the peeled rims run the driver's `ic` loop on the same workers.
+/// Returns the number of per-task workspace-arena elements the core
+/// execution occupied (0 for DFS, which uses the wrapped context's own
+/// arena).
 ///
-/// DFS delegates to [`fmm_core::fmm_execute_parallel`]: block products
-/// data-parallel over the *full* rayon pool (its `ic`-loop does not take a
-/// worker bound), products sequential. BFS and hybrid fan tasks out as
-/// described in the crate docs, with effective parallelism
+/// DFS delegates to [`fmm_core::fmm_execute_parallel`]: each block product
+/// data-parallel over `workers`, products sequential. BFS and hybrid fan
+/// tasks out as described in the crate docs, with effective parallelism
 /// `min(workers, tasks, pool width)`.
 #[allow(clippy::too_many_arguments)]
 pub fn execute<T: GemmScalar>(
@@ -367,7 +306,7 @@ pub fn execute<T: GemmScalar>(
 
     if matches!(strategy, Strategy::Dfs) {
         strategy_counter(Strategy::Dfs).inc();
-        fmm_execute_parallel(c, a, b, plan, variant, &mut ctx.fmm);
+        fmm_execute_parallel(c, a, b, plan, variant, &mut ctx.fmm, workers);
         return 0;
     }
     // Hybrid of a one-level plan has no inner levels to run depth-first;
@@ -399,12 +338,7 @@ pub fn execute<T: GemmScalar>(
         let b_rim = b.submatrix(rim.inner.start, rim.cols.start, rim.inner.len(), rim.cols.len());
         let c_rim =
             c.reborrow().submatrix(rim.rows.start, rim.cols.start, rim.rows.len(), rim.cols.len());
-        fmm_gemm::parallel::gemm_sums_parallel(
-            &mut [DestTile::new(c_rim, T::ONE)],
-            &[(T::ONE, a_rim)],
-            &[(T::ONE, b_rim)],
-            &ctx.params,
-        );
+        fmm_gemm::gemm_on_workers(c_rim, a_rim, b_rim, &ctx.params, workers);
     }
     occupied
 }
@@ -790,25 +724,6 @@ mod tests {
         assert_eq!(stats.bfs_executions, 1);
         assert_eq!(stats.hybrid_executions, 0);
         assert_eq!(stats.tasks_executed, 7);
-    }
-
-    #[test]
-    fn fan_out_visits_each_index_once_with_worker_state() {
-        let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        let inits = AtomicU64::new(0);
-        fan_out(
-            100,
-            4,
-            // Relaxed everywhere: `fan_out` joins its workers before
-            // returning, so the loads below are ordered by the join.
-            || inits.fetch_add(1, Ordering::Relaxed),
-            |_, i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert!(inits.load(Ordering::Relaxed) <= 4, "at most one init per worker");
-        fan_out(0, 4, || (), |(), _| panic!("no tasks, no calls"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
 use fmm_serve::{BatchPolicy, PipelinedClient, ServeConfig, Server, ServerHandle};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 static SCENARIO_LOCK: Mutex<()> = Mutex::new(());
@@ -93,11 +93,15 @@ fn flight_events(doc: &json::Value) -> Vec<fmm_obs::FlightEvent> {
 /// `dispatch-*` component. Unwedging lets the request complete normally.
 #[test]
 fn wedged_dispatcher_is_detected_and_named() {
-    let _guard = SCENARIO_LOCK.lock().unwrap();
+    let _guard = SCENARIO_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    // Wedge before the dispatcher exists: a dispatcher that passed the
+    // wedge check before the store would wait for work, take the request
+    // and serve it, so the queue would never show the pending depth the
+    // watchdog needs to see.
+    fmm_serve::dispatch::WEDGE_DISPATCH.store(true, Ordering::Relaxed);
     let handle = spawn_watched(1);
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
 
-    fmm_serve::dispatch::WEDGE_DISPATCH.store(true, Ordering::Relaxed);
     let a = fill::bench_workload(24, 16, 1);
     let b = fill::bench_workload(16, 20, 2);
     let id = client.send(&a, &b).expect("send while wedged");
@@ -169,7 +173,7 @@ fn wedged_dispatcher_is_detected_and_named() {
 /// with a populated flight ring and watchdog roster.
 #[test]
 fn healthy_daemon_has_zero_stall_verdicts() {
-    let _guard = SCENARIO_LOCK.lock().unwrap();
+    let _guard = SCENARIO_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     fmm_serve::dispatch::WEDGE_DISPATCH.store(false, Ordering::Relaxed);
     let handle = spawn_watched(4);
 

@@ -12,7 +12,7 @@
 
 use crate::store::{kernel_fingerprint, ShapeClass, TuneStore, TunedChoice, TunedDecision};
 use fmm_core::registry::Registry;
-use fmm_core::{fmm_execute, FmmPlan, Strategy, Variant};
+use fmm_core::{FmmPlan, Strategy, Variant};
 use fmm_dense::{fill, norms, Matrix};
 use fmm_gemm::{BlockingParams, GemmScalar};
 use fmm_model::{rank_candidates, rank_scheduled, ArchParams, Impl};
@@ -90,7 +90,7 @@ pub struct Tuner {
     params: BlockingParams,
     registry: Arc<Registry>,
     /// Worker count candidates are ranked and executed for (`0` = the
-    /// rayon pool width). `1` explores the sequential engine's world.
+    /// pool width). `1` explores the sequential engine's world.
     workers: usize,
     max_levels: usize,
 }
@@ -135,15 +135,10 @@ impl Tuner {
     }
 
     /// Worker count decisions are keyed under: the configured count, with
-    /// `0` resolved to (and explicit counts clamped to) the rayon pool
-    /// width, exactly as the engine and scheduler resolve it.
+    /// `0` resolved to (and explicit counts clamped to) the pool width,
+    /// exactly as the engine and scheduler resolve it.
     pub fn effective_workers(&self) -> usize {
-        let pool = rayon::current_num_threads();
-        if self.workers == 0 {
-            pool
-        } else {
-            self.workers.min(pool).max(1)
-        }
+        fmm_gemm::resolve_workers(self.workers)
     }
 
     /// Time the top-K model candidates for `(m, k, n)` and record the
@@ -289,39 +284,19 @@ impl Tuner {
     ) {
         match (&cand.plan, cand.variant) {
             (Some(plan), Some(variant)) => {
-                if workers > 1 {
-                    fmm_sched::execute(
-                        c.as_mut(),
-                        a.as_ref(),
-                        b.as_ref(),
-                        plan,
-                        variant,
-                        cand.strategy,
-                        ctx,
-                        workers,
-                    );
-                } else {
-                    fmm_execute(
-                        c.as_mut(),
-                        a.as_ref(),
-                        b.as_ref(),
-                        plan,
-                        variant,
-                        ctx.fmm_context(),
-                    );
-                }
+                fmm_sched::execute(
+                    c.as_mut(),
+                    a.as_ref(),
+                    b.as_ref(),
+                    plan,
+                    variant,
+                    cand.strategy,
+                    ctx,
+                    workers,
+                );
             }
             _ => {
-                if workers > 1 {
-                    fmm_gemm::parallel::gemm_sums_parallel(
-                        &mut [fmm_gemm::DestTile::new(c.as_mut(), T::ONE)],
-                        &[(T::ONE, a.as_ref())],
-                        &[(T::ONE, b.as_ref())],
-                        &self.params,
-                    );
-                } else {
-                    fmm_gemm::gemm_with_params(c.as_mut(), a.as_ref(), b.as_ref(), &self.params);
-                }
+                fmm_gemm::gemm_on_workers(c.as_mut(), a.as_ref(), b.as_ref(), &self.params, workers)
             }
         }
     }

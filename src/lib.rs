@@ -14,8 +14,8 @@
 //!
 //! * [`dense`] — column-major matrices and strided views;
 //! * [`gemm`] — the BLIS-style blocked GEMM substrate (packing with sums,
-//!   multi-destination micro-kernel epilogue, rayon loop-3 parallelism,
-//!   pooled packing workspaces);
+//!   multi-destination micro-kernel epilogue, loop-3 parallelism on the
+//!   workspace's one fan-out, pooled packing workspaces);
 //! * [`core`] — `[[U,V,W]]` algorithms, Kronecker multi-level plans,
 //!   dynamic peeling, the arena-backed Naive/AB/ABC executors, and the
 //!   Figure-2 registry;

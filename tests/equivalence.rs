@@ -62,6 +62,7 @@ fn parallel_equals_sequential_bitwise() {
                 &plan,
                 variant,
                 &mut ctx_p,
+                0,
             );
 
             assert_eq!(c_seq, c_par, "variant {} m={m}", variant.name());
